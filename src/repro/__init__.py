@@ -29,7 +29,6 @@ from repro import api
 from repro.bench.config import Configuration, ConfigurationError
 from repro.bench.metrics import MetricsCollector, RunMetrics
 from repro.bench.runner import Cluster, ExperimentResult, build_cluster, run_experiment
-from repro.bench.sweeps import SweepPoint, saturation_sweep
 from repro.bench.timeline import ResponsivenessScenario, run_responsiveness
 from repro.core.byzantine import ForkingReplica, SilentReplica
 from repro.experiments import (
@@ -43,7 +42,7 @@ from repro.core.replica import Replica, ReplicaSettings
 from repro.model.predictions import AnalyticalModel, ModelParameters
 from repro.plugins import Registry, RegistryError
 from repro.protocols.registry import available_protocols, make_safety
-from repro.scenario import Scenario, ScenarioResult, ScenarioRunner, run_scenario
+from repro.scenario import Scenario, ScenarioRunner
 
 __version__ = "1.2.0"
 
@@ -67,10 +66,8 @@ __all__ = [
     "ResultStore",
     "RunMetrics",
     "Scenario",
-    "ScenarioResult",
     "ScenarioRunner",
     "SilentReplica",
-    "SweepPoint",
     "api",
     "available_protocols",
     "build_cluster",
@@ -78,7 +75,5 @@ __all__ = [
     "run_campaign",
     "run_experiment",
     "run_responsiveness",
-    "run_scenario",
-    "saturation_sweep",
     "__version__",
 ]

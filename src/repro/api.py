@@ -1,4 +1,4 @@
-"""The public facade: one module for running, sweeping, and extending.
+"""The public facade: one module for running, campaigning, and extending.
 
 Everything a user script needs lives here::
 
@@ -13,18 +13,19 @@ Everything a user script needs lives here::
         {"kind": "recover-replica", "at": 6.0, "replica": "last"},
     ]})
 
-    # sweep client load to a latency/throughput curve
-    points = api.sweep(config, concurrency_levels=[8, 32, 128])
-
     # the same protocol stack over real asyncio TCP with Ed25519 signing
-    # (the "implementation" axis of fig. 8; same result schema as api.run)
-    result = api.deploy({"protocol": "hotstuff", "num_nodes": 4, "runtime": 2.0})
+    # (the "implementation" axis of fig. 8; same result type either way)
+    result = api.run({"protocol": "hotstuff", "num_nodes": 4, "runtime": 2.0,
+                      "mode": "deploy"})
 
     # declare a whole experiment grid and run it as a campaign — in
     # parallel worker processes, resumable through a result store
     spec = api.grid(config, protocol=["hotstuff", "2chainhs"],
                     block_size=[100, 400])
     result = api.campaign(spec, workers=4, store="results/")
+
+    # sweep client load to a latency/throughput curve (one record per level)
+    points = api.campaign(api.grid(config, concurrency=[8, 32, 128])).records
 
     # collapse repetitions into mean ± 95% CI and render paper figures,
     # purely from stored records (no re-execution)
@@ -45,7 +46,7 @@ Everything a user script needs lives here::
     @api.register_protocol("myproto")
     class MyProtocolSafety(Safety): ...
 
-``run``/``build``/``sweep`` accept either a :class:`Configuration` or a
+``run``/``build``/``grid`` accept either a :class:`Configuration` or a
 JSON-style dict (ignoring unknown keys, like Bamboo's config file);
 scenarios likewise accept a :class:`Scenario` or its dict form.
 
@@ -81,8 +82,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.analysis import GroupSummary, aggregate_records, render_store
 from repro.bench.config import Configuration, ConfigurationError
-from repro.bench.runner import Cluster, ExperimentResult, build_cluster, run_experiment
-from repro.bench.sweeps import SweepPoint, saturation_sweep
+from repro.bench.runner import Cluster, ExperimentResult, run_experiment
 from repro.client.client import available_clients, register_client
 from repro.experiments import (
     CampaignResult,
@@ -112,7 +112,6 @@ from repro.obs import (
 from repro.protocols.registry import available_protocols, register_protocol
 from repro.scenario import (
     Scenario,
-    ScenarioResult,
     ScenarioRunner,
     available_scenario_events,
     register_scenario_event,
@@ -130,8 +129,6 @@ __all__ = [
     "GroupSummary",
     "ResultStore",
     "Scenario",
-    "ScenarioResult",
-    "SweepPoint",
     "TracedRun",
     "Tracer",
     "aggregate",
@@ -139,7 +136,6 @@ __all__ = [
     "available",
     "build",
     "campaign",
-    "deploy",
     "fuzz",
     "grid",
     "load_config",
@@ -155,7 +151,6 @@ __all__ = [
     "register_trace_sink",
     "replay",
     "run",
-    "sweep",
     "trace",
     "tracing",
 ]
@@ -189,78 +184,29 @@ def load_config(source: Union[str, Path, Dict]) -> Configuration:
 
 
 def build(config: ConfigLike, scenario: ScenarioLike = None) -> Cluster:
-    """Build (but do not run) a fully wired cluster.
+    """Build (but do not run) a fully wired simulated cluster.
 
     With a ``scenario``, its events are already scheduled on the returned
     cluster; call ``cluster.start()`` and ``cluster.run()`` yourself to
     drive it manually.
     """
-    coerced = _coerce_config(config)
-    declarative = _coerce_scenario(scenario)
-    if declarative is None:
-        return build_cluster(coerced)
-    return ScenarioRunner(coerced, declarative).build()
+    return ScenarioRunner(_coerce_config(config), _coerce_scenario(scenario)).build()
 
 
 def run(
     config: ConfigLike,
     scenario: ScenarioLike = None,
     bucket: float = 0.5,
-) -> Union[ExperimentResult, ScenarioResult]:
+) -> ExperimentResult:
     """Run one experiment, optionally under a declarative fault schedule.
 
-    Without a scenario this is the classic measured run and returns an
-    :class:`ExperimentResult`; with one it returns a :class:`ScenarioResult`
-    whose ``timeline`` (bucketed at ``bucket`` seconds) shows throughput
-    around each injected event.
+    ``mode="model"`` configurations run in the simulator, ``mode="deploy"``
+    ones over real asyncio TCP with real signing; either way the result is
+    an :class:`ExperimentResult` whose ``timeline`` (bucketed at ``bucket``
+    seconds) shows throughput around each injected event.  Deploy mode
+    runs only empty scenarios.
     """
-    coerced = _coerce_config(config)
-    declarative = _coerce_scenario(scenario)
-    if declarative is None:
-        return run_experiment(coerced)
-    return ScenarioRunner(coerced, declarative, bucket=bucket).run()
-
-
-def deploy(config: ConfigLike, host: str = "127.0.0.1") -> ExperimentResult:
-    """Run one experiment in deployment mode: real TCP, real signing.
-
-    The identical protocol stack (safety rules, pacemaker, quorum logic,
-    mempool, clients) runs over asyncio loopback sockets with length-prefixed
-    JSON frames and Ed25519 vote signatures instead of the simulated network
-    and cost model.  Returns the same :class:`ExperimentResult` record shape
-    as :func:`run`, so stored model and deploy runs plot onto one figure
-    (the fig. 8 "simulated vs. implementation" comparison).
-
-    Equivalent to ``api.run({**config, "mode": "deploy"})``; the transport
-    runtime is imported lazily so model-only users never touch asyncio.
-    """
-    from repro.transport.runtime import run_deployment
-
-    coerced = _coerce_config(config)
-    if coerced.mode != "deploy":
-        coerced = coerced.replace(mode="deploy")
-    return run_deployment(coerced, host=host)
-
-
-def sweep(
-    config: ConfigLike,
-    concurrency_levels: Optional[Sequence[int]] = None,
-    arrival_rates: Optional[Sequence[float]] = None,
-    workers: int = 1,
-    store: Optional[Union[ResultStore, str, Path]] = None,
-) -> List[SweepPoint]:
-    """Sweep client load and return one latency/throughput point per level.
-
-    ``workers`` and ``store`` are forwarded to the underlying campaign
-    (parallel execution and resume), like :func:`campaign`.
-    """
-    return saturation_sweep(
-        _coerce_config(config),
-        concurrency_levels=concurrency_levels,
-        arrival_rates=arrival_rates,
-        workers=workers,
-        store=store,
-    )
+    return run_experiment(_coerce_config(config), _coerce_scenario(scenario), bucket)
 
 
 SpecLike = Union[ExperimentSpec, Dict, str, Path]

@@ -9,7 +9,7 @@ The name-valued fields (``protocol``, ``strategy``, ``election``,
 ``client``) are registry lookups — any implementation registered through
 :mod:`repro.plugins` is selectable here — and :meth:`Configuration.validate`
 checks them (plus the n ≥ 3f+1 bound and value ranges) with errors that say
-what is available; ``build_cluster`` calls it before wiring anything.
+what is available; both cluster backends call it before wiring anything.
 """
 
 from __future__ import annotations

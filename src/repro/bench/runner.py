@@ -1,24 +1,26 @@
-"""Experiment runner: build a cluster from a configuration and run it.
+"""Experiment runner: wire a cluster from a configuration and run it.
 
-``build_cluster`` validates the configuration and wires the scheduler,
-network, replicas, clients, and metrics collector together; every
+``wire`` is the one cluster builder: it puts replicas, clients, and the
+metrics collector on a clock and a transport (the seam of
+:mod:`repro.transport.base`).  ``build_cluster`` hands it the
+discrete-event scheduler and simulated network; the deployment runner
+(:mod:`repro.transport.runtime`) an asyncio clock and TCP transport.  Every
 protocol-, attack-, election-, delay-, and client-specific choice is a
 registry lookup (see :mod:`repro.plugins`), so a new plugin plus a config
 entry is all it takes to run a new experiment — no runner changes.
-``run_experiment`` runs the whole thing for the configured horizon and
-returns an :class:`ExperimentResult`.  Timed fault injection lives in
-:mod:`repro.scenario`: declare events, and the :class:`ScenarioRunner`
-applies them to the cluster built here.
+
+``run_experiment`` is the one run path: it runs a configuration, optionally
+under a :class:`~repro.scenario.Scenario`, on the backend its ``mode``
+names, and returns an :class:`ExperimentResult`.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.bench.config import Configuration
-from repro.bench.metrics import MetricsCollector, RunMetrics
+from repro.bench.config import Configuration, ConfigurationError
+from repro.bench.metrics import MetricsCollector, RunMetrics, timeline_mean
 from repro.bench.profiles import cost_profile
 from repro.checkpoint.manager import CheckpointSettings, CheckpointStats
 from repro.client.client import CLIENTS, ClientBase
@@ -35,10 +37,64 @@ from repro.sim.random import RandomStreams
 from repro.sync.manager import SyncSettings, SyncStats
 from repro.types.sizes import SizeModel
 
+if TYPE_CHECKING:
+    from repro.scenario.runner import Scenario
+
+
+@dataclass
+class ExperimentResult:
+    """Outcome of one run, in either mode, with or without a scenario."""
+
+    config: Configuration
+    metrics: RunMetrics
+    consistent: bool
+    highest_view: int
+    timeline: List[Tuple[float, float]] = field(default_factory=list)
+    #: The fault schedule the run executed under; None for a plain run.
+    scenario: Optional["Scenario"] = None
+
+    def mean_throughput(self, start: float, end: float) -> float:
+        """Average Tx/s of the timeline buckets within [start, end)."""
+        return timeline_mean(self.timeline, start, end)
+
+    def to_dict(self) -> Dict:
+        """Lossless JSON-compatible dict (the campaign record shape)."""
+        data: Dict = {"config": self.config.to_dict()}
+        if self.scenario is not None:
+            data["scenario"] = self.scenario.to_dict()
+        data["metrics"] = self.metrics.to_dict()
+        data["consistent"] = self.consistent
+        data["highest_view"] = self.highest_view
+        data["timeline"] = [[t, tps] for t, tps in self.timeline]
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> "ExperimentResult":
+        """Rebuild a result serialized with :meth:`to_dict`."""
+        scenario = None
+        if data.get("scenario") is not None:
+            # Imported here: repro.scenario builds on this module.
+            from repro.scenario.runner import Scenario
+
+            scenario = Scenario.from_dict(data["scenario"])
+        return cls(
+            config=Configuration.from_dict(data["config"]),
+            metrics=RunMetrics.from_dict(data["metrics"]),
+            consistent=data["consistent"],
+            highest_view=data["highest_view"],
+            timeline=[(t, tps) for t, tps in data.get("timeline", [])],
+            scenario=scenario,
+        )
+
 
 @dataclass
 class Cluster:
-    """A fully wired simulation ready to run."""
+    """A fully wired cluster ready to run.
+
+    ``scheduler`` and ``network`` are the clock and transport the cluster
+    was wired onto: the event scheduler and simulated network in model
+    mode, the asyncio clock and TCP transport in deploy mode.
+    """
 
     config: Configuration
     scheduler: EventScheduler
@@ -81,6 +137,34 @@ class Cluster:
         reference = honest[0].forest.consistency_hash(min_height)
         return all(r.forest.consistency_hash(min_height) == reference for r in honest)
 
+    def result(
+        self,
+        elapsed: float,
+        horizon: float,
+        bucket: float = 0.5,
+        scenario: Optional["Scenario"] = None,
+    ) -> ExperimentResult:
+        """Summarize a run that lasted ``horizon`` and took ``elapsed`` wall seconds.
+
+        The host-side quantities (wall clock, events/sec) live outside the
+        canonical record serialization (see :attr:`RunMetrics.PERF_FIELDS`);
+        they feed ``tools/perf_smoke.py``, not the stored campaign records.
+        """
+        metrics = self.metrics.summarize()
+        metrics.wall_clock_seconds = elapsed
+        metrics.events_per_second = (
+            self.scheduler.processed_events / elapsed if elapsed > 0 else 0.0
+        )
+        observer = self.replicas[self.observer_id]
+        return ExperimentResult(
+            config=self.config,
+            metrics=metrics,
+            consistent=self.consistency_check(),
+            highest_view=observer.pacemaker.stats.highest_view,
+            timeline=self.metrics.throughput_timeline(bucket=bucket, end=horizon),
+            scenario=scenario,
+        )
+
     def sync_report(self) -> SyncStats:
         """Aggregate block-fetch counters across every replica."""
         total = SyncStats()
@@ -109,84 +193,23 @@ class Cluster:
         return total
 
 
-@dataclass
-class ExperimentResult:
-    """Outcome of one experiment run."""
+def wire(config: Configuration, clock, transport, streams: RandomStreams) -> Cluster:
+    """Wire replicas, clients, and metrics onto ``clock`` and ``transport``.
 
-    config: Configuration
-    metrics: RunMetrics
-    consistent: bool
-    highest_view: int
-    timeline: List = field(default_factory=list)
-
-    @property
-    def throughput_ktps(self) -> float:
-        """Throughput in thousands of transactions per second."""
-        return self.metrics.throughput_tps / 1e3
-
-    @property
-    def latency_ms(self) -> float:
-        """Mean latency in milliseconds."""
-        return self.metrics.mean_latency * 1e3
-
-    def to_dict(self) -> Dict:
-        """Lossless JSON-compatible dict (the campaign record shape)."""
-        return {
-            "config": self.config.to_dict(),
-            "metrics": self.metrics.to_dict(),
-            "consistent": self.consistent,
-            "highest_view": self.highest_view,
-            "timeline": [[t, tps] for t, tps in self.timeline],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ExperimentResult":
-        """Rebuild a result serialized with :meth:`to_dict`."""
-        return cls(
-            config=Configuration.from_dict(data["config"]),
-            metrics=RunMetrics.from_dict(data["metrics"]),
-            consistent=data["consistent"],
-            highest_view=data["highest_view"],
-            timeline=[(t, tps) for t, tps in data.get("timeline", [])],
-        )
-
-
-def build_cluster(config: Configuration) -> Cluster:
-    """Wire up a *simulated* cluster (replicas, clients, network, metrics).
-
-    Deployment-mode configurations are built by
-    :class:`repro.transport.runtime.DeploymentRunner` instead; this builder
-    rejects them rather than silently simulating.
+    The one cluster builder for both modes; the configuration must already
+    be validated.  Keys use ``config.resolved_signing()`` in either mode.
+    Replicas and clients pick up the process-global tracer (None unless
+    :mod:`repro.obs` installed one); timestamps come from ``clock``, so
+    deploy traces use wall time since start.
     """
-    config.validate()
-    if config.mode != "model":
-        raise ValueError(
-            f"build_cluster is the simulation builder (mode='model'); "
-            f"got mode={config.mode!r} — use repro.transport.runtime"
-        )
-    scheduler = EventScheduler()
-    streams = RandomStreams(seed=config.seed)
-    base_delay = NormalDelay(config.base_delay_mean, config.base_delay_stddev)
-    if config.extra_delay_mean > 0:
-        extra_delay = NormalDelay(config.extra_delay_mean, config.extra_delay_stddev)
-    else:
-        extra_delay = NoDelay()
-    network = Network(
-        scheduler,
-        streams,
-        base_delay=base_delay,
-        extra_delay=extra_delay,
-        bandwidth_bps=config.bandwidth_bps,
-    )
-    registry = KeyRegistry(deployment_seed=config.seed)
     node_ids = config.node_ids()
+    registry = KeyRegistry(deployment_seed=config.seed, scheme=config.resolved_signing())
     election = make_election(
         node_ids, master=config.master, kind=config.election, seed=config.seed
     )
     metrics = MetricsCollector(
         window_start=config.warmup, window_end=config.warmup + config.runtime
     )
-
     settings = ReplicaSettings(
         block_size=config.block_size,
         mempool_capacity=config.mempool_capacity,
@@ -203,22 +226,22 @@ def build_cluster(config: Configuration) -> Cluster:
         ),
         quorum_threshold=config.quorum_threshold,
     )
-    costs = cost_profile(config.cost_profile)
+    # Deployed crypto/serialization cost is real wall-clock work; charging
+    # the configured model on top would double-count it.
+    costs = cost_profile("measured" if config.mode == "deploy" else config.cost_profile)
     sizes = SizeModel()
     byzantine = set(config.byzantine_ids())
     observer_id = node_ids[0]
     metrics.observer = observer_id
-    # Pick up the process-global tracer (None unless repro.obs installed one).
     tracer = obs_trace.ACTIVE
-    network.tracer = tracer
 
     replicas: Dict[str, Replica] = {}
     for node_id in node_ids:
         replica_cls = STRATEGIES.get(config.strategy) if node_id in byzantine else Replica
         replica = replica_cls(
             node_id,
-            scheduler,
-            network,
+            clock,
+            transport,
             election,
             registry,
             node_ids,
@@ -243,8 +266,8 @@ def build_cluster(config: Configuration) -> Cluster:
     for client_id in config.client_ids():
         client = client_cls.from_config(
             client_id,
-            scheduler,
-            network,
+            clock,
+            transport,
             streams,
             node_ids,
             workload=workload,
@@ -257,9 +280,9 @@ def build_cluster(config: Configuration) -> Cluster:
 
     return Cluster(
         config=config,
-        scheduler=scheduler,
+        scheduler=clock,
         streams=streams,
-        network=network,
+        network=transport,
         registry=registry,
         replicas=replicas,
         clients=clients,
@@ -269,45 +292,61 @@ def build_cluster(config: Configuration) -> Cluster:
     )
 
 
-def attach_host_perf(
-    metrics: RunMetrics, cluster: Cluster, elapsed: float
-) -> RunMetrics:
-    """Record how fast the *simulator* ran (wall clock, events/sec).
+def build_cluster(config: Configuration) -> Cluster:
+    """Wire up a *simulated* cluster (replicas, clients, network, metrics).
 
-    Host-side quantities live outside the canonical record serialization
-    (see :attr:`RunMetrics.PERF_FIELDS`); they feed ``tools/perf_smoke.py``
-    and the perf trajectory, not the stored campaign records.
+    Deployment-mode configurations are wired by
+    :class:`repro.transport.runtime.DeploymentRunner` instead; this builder
+    rejects them rather than silently simulating.
     """
-    metrics.wall_clock_seconds = elapsed
-    metrics.events_per_second = (
-        cluster.scheduler.processed_events / elapsed if elapsed > 0 else 0.0
+    config.validate()
+    if config.mode != "model":
+        raise ValueError(
+            f"build_cluster is the simulation builder (mode='model'); "
+            f"got mode={config.mode!r} — use repro.transport.runtime"
+        )
+    scheduler = EventScheduler()
+    streams = RandomStreams(seed=config.seed)
+    if config.extra_delay_mean > 0:
+        extra_delay = NormalDelay(config.extra_delay_mean, config.extra_delay_stddev)
+    else:
+        extra_delay = NoDelay()
+    network = Network(
+        scheduler,
+        streams,
+        base_delay=NormalDelay(config.base_delay_mean, config.base_delay_stddev),
+        extra_delay=extra_delay,
+        bandwidth_bps=config.bandwidth_bps,
     )
-    return metrics
+    cluster = wire(config, scheduler, network, streams)
+    network.tracer = cluster.tracer
+    return cluster
 
 
-def run_experiment(config: Configuration) -> ExperimentResult:
-    """Build, start, and run one experiment; return its summarized result.
+def run_experiment(
+    config: Configuration, scenario: Optional["Scenario"] = None, bucket: float = 0.5
+) -> ExperimentResult:
+    """Run one configuration, optionally under a scenario; the one run path.
 
-    Dispatches on ``config.mode``: "model" runs the discrete-event simulation
-    here; "deploy" hands the same configuration to the real-transport runtime
-    (:mod:`repro.transport`), which returns a result with the identical
-    record schema.  Imported lazily so the simulation never loads asyncio
-    machinery.
+    ``config.mode`` picks the backend: "model" runs the discrete-event
+    simulation (:class:`~repro.scenario.ScenarioRunner`), "deploy" the same
+    protocol stack over real TCP
+    (:class:`~repro.transport.runtime.DeploymentRunner`, imported lazily so
+    the simulation never loads asyncio machinery).  Both return the same
+    result and record schema.  A scenario without events or a duration is
+    the plain run; only the model backend can apply a non-empty one.
+    ``bucket`` is the width of the throughput-timeline buckets.
     """
     if config.mode == "deploy":
-        from repro.transport.runtime import run_deployment
+        if scenario is not None and (scenario.events or scenario.duration is not None):
+            raise ConfigurationError(
+                "scenarios schedule events on the simulated clock; a "
+                "mode='deploy' configuration can only run an empty one"
+            )
+        from repro.transport.runtime import DeploymentRunner
 
-        return run_deployment(config)
-    cluster = build_cluster(config)
-    started = time.perf_counter()
-    cluster.start()
-    cluster.run()
-    elapsed = time.perf_counter() - started
-    observer = cluster.replicas[cluster.observer_id]
-    return ExperimentResult(
-        config=config,
-        metrics=attach_host_perf(cluster.metrics.summarize(), cluster, elapsed),
-        consistent=cluster.consistency_check(),
-        highest_view=observer.pacemaker.stats.highest_view,
-        timeline=cluster.metrics.throughput_timeline(bucket=0.5, end=config.total_duration),
-    )
+        return DeploymentRunner(config).execute(scenario, bucket)
+    # Imported here: repro.scenario builds on this module.
+    from repro.scenario.runner import ScenarioRunner
+
+    return ScenarioRunner(config, scenario, bucket=bucket).run()

@@ -6,7 +6,6 @@ Every subcommand is driven by the same JSON files the library consumes::
     python -m repro deploy --nodes 4 --runtime 3   # real asyncio TCP cluster
     python -m repro campaign grid.json -w 4 -s out # a parallel, resumable grid
     python -m repro fuzz --budget 50 --seed 0      # adversarial scenario fuzzing
-    python -m repro sweep config.json --concurrency 8,32,128
     python -m repro report --store out             # aggregate: mean ± 95% CI
     python -m repro plot --store out -o figures    # render paper figures (SVG)
     python -m repro regress --store out -b base.json [--freeze]
@@ -41,12 +40,11 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.analysis.report import format_cell, format_table  # noqa: F401
 from repro.bench.config import Configuration, ConfigurationError
 from repro.bench.runner import run_experiment
-from repro.bench.sweeps import saturation_sweep
-from repro.experiments.runner import CampaignRunner
+from repro.experiments.runner import CampaignRunner, make_record
 from repro.experiments.spec import ExperimentSpec, SpecError
 from repro.experiments.store import ResultStore, StoreError
 from repro.plugins import RegistryError
-from repro.scenario import Scenario, ScenarioRunner
+from repro.scenario import Scenario
 
 
 def _load_json(path: str) -> Dict[str, Any]:
@@ -117,11 +115,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.scenario:
         scenario_data = _load_json(args.scenario)
         scenario_data = scenario_data.get("scenario", scenario_data)
+    scenario = Scenario.from_dict(scenario_data) if scenario_data is not None else None
     with _traced(args):
-        if scenario_data is not None:
-            result = ScenarioRunner(config, Scenario.from_dict(scenario_data)).run()
-        else:
-            result = run_experiment(config)
+        result = run_experiment(config, scenario)
     if args.json:
         print(json.dumps(result.metrics.to_dict() | {"consistent": result.consistent}, indent=2))
     else:
@@ -168,7 +164,7 @@ def _cmd_deploy(args: argparse.Namespace) -> int:
         from repro.experiments.spec import run_key
 
         store = ResultStore(args.store)
-        store.add({
+        store.add(make_record({
             "run_id": run_key(config),
             "campaign": args.campaign_name,
             "index": 0,
@@ -178,12 +174,7 @@ def _cmd_deploy(args: argparse.Namespace) -> int:
                 "arrival_rate": config.arrival_rate,
                 "mode": config.mode,
             },
-            "config": config.to_dict(),
-            "metrics": metrics,
-            "consistent": result.consistent,
-            "highest_view": result.highest_view,
-            "timeline": [[t, tps] for t, tps in result.timeline],
-        })
+        }, result))
         print(f"results: {store.path}")
     return 0 if result.consistent else 1
 
@@ -265,39 +256,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         if outcome.trace_artifact:
             print(f"trace artifact: {outcome.trace_artifact}")
     return 0 if report.ok else 1
-
-
-def _parse_floats(text: str) -> List[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    if bool(args.concurrency) == bool(args.arrival_rates):
-        raise SystemExit("error: give exactly one of --concurrency or --arrival-rates")
-    data = _load_json(args.config)
-    config = Configuration.from_dict(data.get("config", data))
-    if args.concurrency:
-        points = saturation_sweep(
-            config,
-            concurrency_levels=[int(v) for v in _parse_floats(args.concurrency)],
-            workers=args.workers,
-        )
-    else:
-        points = saturation_sweep(
-            config, arrival_rates=_parse_floats(args.arrival_rates), workers=args.workers
-        )
-    if args.json:
-        print(json.dumps([p.to_dict() for p in points], indent=2))
-    else:
-        rows = [
-            {"load": p.load, "throughput_tps": p.throughput_tps,
-             "latency_ms": p.latency_ms, "p99_ms": p.p99_latency * 1e3,
-             "cgr": p.chain_growth_rate, "block_interval": p.block_interval}
-            for p in points
-        ]
-        print(format_table(rows, ["load", "throughput_tps", "latency_ms", "p99_ms",
-                                   "cgr", "block_interval"]))
-    return 0
 
 
 def _open_store(path: str) -> ResultStore:
@@ -518,7 +476,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
-        description="Run chained-BFT experiments, campaigns, and sweeps.",
+        description="Run chained-BFT experiments, campaigns, and fuzz campaigns.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -585,15 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_p.add_argument("--json", action="store_true", help="print a JSON report")
     _add_trace_flags(fuzz_p)
     fuzz_p.set_defaults(func=_cmd_fuzz)
-
-    sweep_p = sub.add_parser("sweep", help="latency/throughput saturation sweep")
-    sweep_p.add_argument("config", help="JSON file with the base Configuration")
-    sweep_p.add_argument("--concurrency", help="comma-separated closed-loop levels")
-    sweep_p.add_argument("--arrival-rates", help="comma-separated open-loop Tx/s rates")
-    sweep_p.add_argument("-w", "--workers", type=int, default=1,
-                         help="worker processes (default 1 = serial)")
-    sweep_p.add_argument("--json", action="store_true", help="print raw JSON points")
-    sweep_p.set_defaults(func=_cmd_sweep)
 
     report_p = sub.add_parser(
         "report", help="aggregate stored records into a comparison table"

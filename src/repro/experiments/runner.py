@@ -27,18 +27,36 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.bench.config import Configuration
 from repro.bench.metrics import timeline_mean
-from repro.bench.runner import run_experiment
+from repro.bench.runner import ExperimentResult, run_experiment
 from repro.experiments.spec import ExperimentSpec, RunSpec
 from repro.experiments.store import ResultStore
-from repro.scenario import Scenario, ScenarioRunner
+from repro.scenario import Scenario
 
 __all__ = [
     "CampaignResult",
     "CampaignRunner",
     "execute_payload",
+    "make_record",
     "run_campaign",
     "timeline_mean",
 ]
+
+
+#: The keys identifying a run, which every stored record starts with.
+RECORD_HEADER = ("run_id", "campaign", "index", "repetition", "params")
+
+
+def make_record(run: Dict[str, Any], result: ExperimentResult) -> Dict[str, Any]:
+    """The stored record of one finished run; every store writes these.
+
+    ``run`` supplies the :data:`RECORD_HEADER` keys (a
+    :meth:`RunSpec.payload` has them) and ``result`` the rest, in
+    :meth:`ExperimentResult.to_dict` order — with a ``scenario`` key only
+    when the run had one.
+    """
+    record = {key: run[key] for key in RECORD_HEADER}
+    record.update(result.to_dict())
+    return record
 
 
 def execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -49,28 +67,14 @@ def execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     cleanly in both directions.
     """
     config = Configuration.from_dict(payload["config"])
-    scenario_data = payload.get("scenario")
-    record: Dict[str, Any] = {
-        "run_id": payload["run_id"],
-        "campaign": payload["campaign"],
-        "index": payload["index"],
-        "repetition": payload["repetition"],
-        "params": payload["params"],
-        "config": config.to_dict(),
-    }
-    if scenario_data is not None:
-        scenario = Scenario.from_dict(scenario_data)
-        outcome = ScenarioRunner(config, scenario, bucket=payload["bucket"]).run()
-        record["scenario"] = scenario.to_dict()
-        timeline = outcome.timeline
+    scenario = payload.get("scenario")
+    if scenario is None:
+        result = run_experiment(config)
     else:
-        outcome = run_experiment(config)
-        timeline = outcome.timeline
-    record["metrics"] = outcome.metrics.to_dict()
-    record["consistent"] = outcome.consistent
-    record["highest_view"] = outcome.highest_view
-    record["timeline"] = [[t, tps] for t, tps in timeline]
-    return record
+        result = run_experiment(
+            config, Scenario.from_dict(scenario), bucket=payload["bucket"]
+        )
+    return make_record(payload, result)
 
 
 @dataclass

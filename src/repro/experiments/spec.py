@@ -117,10 +117,11 @@ class RunSpec:
             "repetition": self.repetition,
             "params": self.params,
             "config": self.config.to_dict(),
-            "bucket": self.bucket,
         }
         if self.scenario is not None:
+            # Like run_key, the bucket shapes only scenario runs' records.
             data["scenario"] = self.scenario.to_dict()
+            data["bucket"] = self.bucket
         return data
 
 

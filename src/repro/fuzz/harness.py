@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
 from repro.bench.config import Configuration
+from repro.experiments.runner import make_record
 from repro.experiments.store import ResultStore
 from repro.fuzz.generator import FuzzCase, generate_case
 from repro.fuzz.invariants import (
@@ -64,9 +65,9 @@ def execute_case(
     """Run one case and audit the finished cluster with the oracles.
 
     The configuration and scenario go through the same payload round-trip
-    as :func:`repro.experiments.runner.execute_payload`, so the returned
-    record is byte-identical to what an ordinary campaign would store for
-    the same point.
+    and record builder as :func:`repro.experiments.runner.execute_payload`,
+    so the returned record is byte-identical to what an ordinary campaign
+    would store for the same point.
     """
     payload = case.run_spec().payload()
     config = Configuration.from_dict(payload["config"])
@@ -74,19 +75,7 @@ def execute_case(
     runner = ScenarioRunner(config, scenario, bucket=payload["bucket"])
     cluster = runner.build()
     outcome = runner.run(cluster)
-    record: Dict[str, Any] = {
-        "run_id": payload["run_id"],
-        "campaign": payload["campaign"],
-        "index": payload["index"],
-        "repetition": payload["repetition"],
-        "params": payload["params"],
-        "config": config.to_dict(),
-        "scenario": scenario.to_dict(),
-        "metrics": outcome.metrics.to_dict(),
-        "consistent": outcome.consistent,
-        "highest_view": outcome.highest_view,
-        "timeline": [[t, tps] for t, tps in outcome.timeline],
-    }
+    record = make_record(payload, outcome)
     ctx = OracleContext(cluster=cluster, result=outcome, case=case)
     violations = check_invariants(ctx, oracles)
     honest = ctx.honest_replicas()

@@ -1,7 +1,7 @@
 """Post-run invariant oracles: what "the protocol stayed correct" means.
 
 Each oracle is a function from an :class:`OracleContext` (the finished
-cluster with all per-replica state, the run's :class:`ScenarioResult`, and —
+cluster with all per-replica state, the run's :class:`ExperimentResult`, and —
 for generated cases — the :class:`~repro.fuzz.generator.FuzzCase` metadata)
 to a list of human-readable problem strings.  Oracles are an extension
 point, registered exactly like protocols and strategies::
@@ -80,7 +80,7 @@ class OracleContext:
 
     #: The finished cluster, with every replica's forest/stats/executor live.
     cluster: Any
-    #: The run's :class:`~repro.scenario.runner.ScenarioResult`.
+    #: The run's :class:`~repro.bench.runner.ExperimentResult`.
     result: Any
     #: Generator metadata (:class:`~repro.fuzz.generator.FuzzCase`); ``None``
     #: for hand-built audits, which disables the conditional liveness oracle.

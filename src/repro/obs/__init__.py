@@ -61,8 +61,8 @@ __all__ = [
 class TracedRun:
     """A run result bundled with the tracer that observed it.
 
-    Returned by :func:`repro.api.trace`; ``result`` is whatever the
-    underlying runner produced (an ``ExperimentResult``).
+    Returned by :func:`repro.api.trace`; ``result`` is the run's
+    :class:`~repro.bench.runner.ExperimentResult`.
     """
 
     result: Any

@@ -20,9 +20,9 @@ Three properties make it safe to leave the hooks in the hot path:
   per replica; a long run evicts its oldest records instead of growing.
 
 Installation is process-global and explicit: :func:`install` sets the
-module-level :data:`ACTIVE` sentinel that the cluster builders
-(:func:`repro.bench.runner.build_cluster`, the deployment runner) read when
-wiring replicas, so the tracer never lives in a :class:`Configuration` —
+module-level :data:`ACTIVE` sentinel that the cluster builder
+(:func:`repro.bench.runner.wire`, in either mode) reads when wiring
+replicas, so the tracer never lives in a :class:`Configuration` —
 run ids, stored records, and resume semantics are unchanged by tracing.
 Prefer the :func:`tracing` context manager, which restores the previous
 state on exit::

@@ -22,7 +22,7 @@ from repro.scenario.events import (
     available_scenario_events,
     register_scenario_event,
 )
-from repro.scenario.runner import Scenario, ScenarioResult, ScenarioRunner, run_scenario
+from repro.scenario.runner import Scenario, ScenarioRunner
 
 __all__ = [
     "SCENARIO_EVENTS",
@@ -33,12 +33,10 @@ __all__ = [
     "RecoverReplica",
     "Scenario",
     "ScenarioEvent",
-    "ScenarioResult",
     "ScenarioRunner",
     "SetArrivalRate",
     "SetByzantine",
     "SetDelayModel",
     "available_scenario_events",
     "register_scenario_event",
-    "run_scenario",
 ]

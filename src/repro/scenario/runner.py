@@ -16,21 +16,22 @@ fault schedule) can live in one config file::
       ]}
     }
 
-:class:`ScenarioRunner` builds the cluster through the ordinary registry
-wiring (:func:`repro.bench.runner.build_cluster`), schedules every event,
-runs to the horizon, and returns a :class:`ScenarioResult` with the summary
-metrics plus the throughput timeline the paper's Fig. 15 plots.
+:class:`ScenarioRunner` is the model backend of
+:func:`repro.bench.runner.run_experiment`: it builds the cluster through the
+ordinary registry wiring (:func:`repro.bench.runner.build_cluster`),
+schedules every event, runs to the horizon, and returns an
+:class:`~repro.bench.runner.ExperimentResult` with the summary metrics plus
+the throughput timeline the paper's Fig. 15 plots.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.bench.config import Configuration
-from repro.bench.metrics import RunMetrics, timeline_mean
-from repro.bench.runner import Cluster, attach_host_perf, build_cluster
+from repro.bench.runner import Cluster, ExperimentResult, build_cluster
 from repro.scenario.events import ScenarioEvent
 
 
@@ -79,26 +80,12 @@ class Scenario:
         )
 
 
-@dataclass
-class ScenarioResult:
-    """Outcome of one scenario run: summary metrics plus the timeline."""
-
-    config: Configuration
-    scenario: Scenario
-    metrics: RunMetrics
-    timeline: List[Tuple[float, float]]
-    consistent: bool
-    highest_view: int
-
-    def mean_throughput(self, start: float, end: float) -> float:
-        """Average Tx/s of the timeline buckets within [start, end)."""
-        return timeline_mean(self.timeline, start, end)
-
-
 class ScenarioRunner:
-    """Builds a cluster, schedules a scenario's events, and runs it."""
+    """The model backend: builds a simulated cluster, schedules a scenario, runs it."""
 
-    def __init__(self, config: Configuration, scenario: Scenario, bucket: float = 0.5) -> None:
+    def __init__(
+        self, config: Configuration, scenario: Optional[Scenario] = None, bucket: float = 0.5
+    ) -> None:
         if config.mode != "model":
             raise ValueError(
                 "scenarios schedule events on the simulated clock; "
@@ -106,6 +93,7 @@ class ScenarioRunner:
                 "(use mode='model')"
             )
         self.config = config
+        #: The fault schedule; None is the plain run.
         self.scenario = scenario
         #: Width of the throughput-timeline buckets, in simulated seconds.
         self.bucket = bucket
@@ -113,11 +101,12 @@ class ScenarioRunner:
     def build(self) -> Cluster:
         """Build the cluster with every scenario event already scheduled."""
         cluster = build_cluster(self.config)
-        self.scenario.schedule(cluster)
+        if self.scenario is not None:
+            self.scenario.schedule(cluster)
         return cluster
 
-    def run(self, cluster: Optional[Cluster] = None) -> ScenarioResult:
-        """Run the scenario to its horizon and summarize the outcome.
+    def run(self, cluster: Optional[Cluster] = None) -> ExperimentResult:
+        """Run to the scenario's horizon and summarize the outcome.
 
         Pass the cluster from :meth:`build` to keep access to per-replica
         state (forests, stats, executors) after the run — the fuzz harness's
@@ -125,24 +114,12 @@ class ScenarioRunner:
         """
         if cluster is None:
             cluster = self.build()
-        horizon = self.scenario.horizon(self.config)
+        if self.scenario is not None:
+            horizon = self.scenario.horizon(self.config)
+        else:
+            horizon = self.config.total_duration
         started = time.perf_counter()
         cluster.start()
         cluster.run(until=horizon)
         elapsed = time.perf_counter() - started
-        observer = cluster.replicas[cluster.observer_id]
-        return ScenarioResult(
-            config=self.config,
-            scenario=self.scenario,
-            metrics=attach_host_perf(cluster.metrics.summarize(), cluster, elapsed),
-            timeline=cluster.metrics.throughput_timeline(bucket=self.bucket, end=horizon),
-            consistent=cluster.consistency_check(),
-            highest_view=observer.pacemaker.stats.highest_view,
-        )
-
-
-def run_scenario(
-    config: Configuration, scenario: Scenario, bucket: float = 0.5
-) -> ScenarioResult:
-    """Convenience wrapper: ``ScenarioRunner(config, scenario).run()``."""
-    return ScenarioRunner(config, scenario, bucket=bucket).run()
+        return cluster.result(elapsed, horizon, self.bucket, self.scenario)

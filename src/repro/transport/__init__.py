@@ -8,7 +8,7 @@ See :mod:`repro.transport.base` for the seam contract,
 from repro.transport.base import Clock, TimerHandle, Transport
 from repro.transport.clock import AsyncioClock, AsyncioTimer
 from repro.transport.asyncio_net import AsyncioTransport, TransportStats
-from repro.transport.runtime import DeploymentError, DeploymentRunner, run_deployment
+from repro.transport.runtime import DeploymentError, DeploymentRunner
 
 __all__ = [
     "Clock",
@@ -20,5 +20,4 @@ __all__ = [
     "TransportStats",
     "DeploymentError",
     "DeploymentRunner",
-    "run_deployment",
 ]

@@ -14,7 +14,7 @@ like ``[warmup, warmup+runtime)`` work unmodified.
 from __future__ import annotations
 
 import asyncio
-from typing import Callable
+from typing import Callable, List
 
 
 class AsyncioTimer:
@@ -45,13 +45,16 @@ class AsyncioClock:
     Must be constructed inside a running loop (the deployment runner creates
     it from its entry coroutine).  ``processed_events`` counts fired timer
     callbacks so the host-perf ``events_per_second`` metric has a deployment
-    analogue of the scheduler's event count.
+    analogue of the scheduler's event count.  A callback's exception is
+    kept in ``errors`` (asyncio would only log it), so the runner can fail
+    the run the way it does for the transport's handler errors.
     """
 
     def __init__(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._t0 = self._loop.time()
         self.processed_events = 0
+        self.errors: List[BaseException] = []
 
     @property
     def now(self) -> float:
@@ -70,7 +73,10 @@ class AsyncioClock:
         def fire() -> None:
             timer.fired = True
             self.processed_events += 1
-            callback(*args, **kwargs)
+            try:
+                callback(*args, **kwargs)
+            except Exception as exc:  # noqa: BLE001 - surfaced to runner
+                self.errors.append(exc)
 
         timer._handle = self._loop.call_later(max(0.0, delay), fire)
         return timer
@@ -88,7 +94,10 @@ class AsyncioClock:
 
         def fire() -> None:
             self.processed_events += 1
-            callback(*args)
+            try:
+                callback(*args)
+            except Exception as exc:  # noqa: BLE001 - surfaced to runner
+                self.errors.append(exc)
 
         self._loop.call_later(max(0.0, delay), fire)
 

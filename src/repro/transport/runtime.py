@@ -19,34 +19,30 @@ signatures                HMAC tags, cost *modeled*   Ed25519, cost *measured*
 serialization             size-model estimate         real JSON encode/decode
 ========================  ==========================  =========================
 
-The runner emits the same :class:`~repro.bench.runner.ExperimentResult` /
-``RunMetrics`` record schema, so campaign storage, aggregation, and the
-fig8 figure consume model and deployment records side by side.
+The cluster is wired by the same builder as the simulation
+(:func:`repro.bench.runner.wire`), and the runner emits the same
+:class:`~repro.bench.runner.ExperimentResult` / ``RunMetrics`` record
+schema, so campaign storage, aggregation, and the fig8 figure consume model
+and deployment records side by side.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.bench.config import Configuration
 from repro.bench.metrics import MetricsCollector
-from repro.bench.profiles import cost_profile
-from repro.bench.runner import ExperimentResult
-from repro.checkpoint.manager import CheckpointSettings
-from repro.client.client import CLIENTS, ClientBase
-from repro.client.workload import WorkloadSpec
-from repro.core.byzantine import STRATEGIES
-from repro.core.replica import Replica, ReplicaSettings
-from repro.crypto.keys import KeyRegistry
-from repro.election.election import make_election
-from repro.obs import trace as obs_trace
+from repro.bench.runner import Cluster, ExperimentResult, wire
+from repro.client.client import ClientBase
+from repro.core.replica import Replica
 from repro.sim.random import RandomStreams
-from repro.sync.manager import SyncSettings
 from repro.transport.asyncio_net import AsyncioTransport
 from repro.transport.clock import AsyncioClock
-from repro.types.sizes import SizeModel
+
+if TYPE_CHECKING:
+    from repro.scenario.runner import Scenario
 
 
 class DeploymentError(RuntimeError):
@@ -54,13 +50,14 @@ class DeploymentError(RuntimeError):
 
 
 class DeploymentRunner:
-    """Launches an n-replica loopback cluster and drives the clients.
+    """The deploy backend: an n-replica loopback cluster driven on wall time.
 
     Construction validates the configuration; :meth:`start` (a coroutine)
-    binds sockets and starts replicas and clients; :meth:`run` sleeps out the
-    configured horizon on the wall clock.  Tests drive crash/recover through
-    ``runner.replicas[...]`` exactly as simulation tests do through the
-    cluster.
+    wires the cluster, binds sockets, and starts replicas and clients;
+    :meth:`run` sleeps out the configured horizon on the wall clock;
+    :meth:`stop` tears it down.  :meth:`execute` does all three.  Tests
+    drive crash/recover through ``runner.replicas[...]`` exactly as
+    simulation tests do through the cluster.
     """
 
     def __init__(self, config: Configuration, host: str = "127.0.0.1") -> None:
@@ -69,103 +66,40 @@ class DeploymentRunner:
         config.validate()
         self.config = config
         self.host = host
-        self.clock: AsyncioClock = None  # type: ignore[assignment]
-        self.transport: AsyncioTransport = None  # type: ignore[assignment]
-        self.registry = KeyRegistry(
-            deployment_seed=config.seed, scheme=config.resolved_signing()
-        )
-        self.replicas: Dict[str, Replica] = {}
-        self.clients: List[ClientBase] = []
-        self.metrics = MetricsCollector(
-            window_start=config.warmup, window_end=config.warmup + config.runtime
-        )
         self.observer_id = config.node_ids()[0]
-        self._started = False
+        #: The wired cluster; None until :meth:`start`.
+        self.cluster: Optional[Cluster] = None
+
+    @property
+    def clock(self) -> AsyncioClock:
+        return self.cluster.scheduler
+
+    @property
+    def transport(self) -> AsyncioTransport:
+        return self.cluster.network
+
+    @property
+    def replicas(self) -> Dict[str, Replica]:
+        return self.cluster.replicas
+
+    @property
+    def clients(self) -> List[ClientBase]:
+        return self.cluster.clients
+
+    @property
+    def metrics(self) -> MetricsCollector:
+        return self.cluster.metrics
 
     async def start(self) -> None:
-        """Bind the transport and start every replica and client."""
-        if self._started:
+        """Wire the cluster, bind the transport, and start every replica and client."""
+        if self.cluster is not None:
             raise RuntimeError("deployment already started")
-        self._started = True
-        config = self.config
-        self.clock = AsyncioClock()
-        self.transport = AsyncioTransport(host=self.host)
-        streams = RandomStreams(seed=config.seed)
-        node_ids = config.node_ids()
-        election = make_election(
-            node_ids, master=config.master, kind=config.election, seed=config.seed
+        transport = AsyncioTransport(host=self.host)
+        self.cluster = wire(
+            self.config, AsyncioClock(), transport, RandomStreams(seed=self.config.seed)
         )
-        settings = ReplicaSettings(
-            block_size=config.block_size,
-            mempool_capacity=config.mempool_capacity,
-            view_timeout=config.view_timeout,
-            propose_wait_after_tc=config.propose_wait_after_tc,
-            sync=SyncSettings(
-                enabled=config.sync_enabled,
-                max_batch=config.sync_max_batch,
-                fanout=config.sync_fanout,
-            ),
-            checkpoint=CheckpointSettings(
-                interval=config.checkpoint_interval,
-                snapshot_sync=config.snapshot_sync_enabled,
-            ),
-            quorum_threshold=config.quorum_threshold,
-        )
-        # Crypto/serialization cost is real wall-clock work here; charging
-        # the configured model on top would double-count it.
-        costs = cost_profile("measured")
-        sizes = SizeModel()
-        byzantine = set(config.byzantine_ids())
-        self.metrics.observer = self.observer_id
-        # Same observability seam as the simulation builder: replicas and
-        # clients pick up the process-global tracer (timestamps come from the
-        # shared AsyncioClock, so deploy traces use wall time since start).
-        tracer = obs_trace.ACTIVE
-
-        for node_id in node_ids:
-            replica_cls = STRATEGIES.get(config.strategy) if node_id in byzantine else Replica
-            replica = replica_cls(
-                node_id,
-                self.clock,
-                self.transport,
-                election,
-                self.registry,
-                node_ids,
-                protocol=config.protocol,
-                settings=settings,
-                cost_model=costs,
-                size_model=sizes,
-                metrics=self.metrics if node_id == self.observer_id else None,
-            )
-            replica.sync.metrics = self.metrics
-            replica.checkpoint.metrics = self.metrics
-            if tracer is not None:
-                replica.attach_tracer(tracer)
-            self.replicas[node_id] = replica
-
-        client_cls = CLIENTS.get(config.resolved_client())
-        workload = WorkloadSpec(payload_size=config.payload_size)
-        for client_id in config.client_ids():
-            client = client_cls.from_config(
-                client_id,
-                self.clock,
-                self.transport,
-                streams,
-                node_ids,
-                workload=workload,
-                size_model=sizes,
-                metrics=self.metrics,
-                config=config,
-            )
-            client.tracer = tracer
-            self.clients.append(client)
-
-        await self.transport.start()
-        for replica in self.replicas.values():
-            replica.start()
-        stop_time = config.warmup + config.runtime
-        for client in self.clients:
-            client.start(stop_time=stop_time)
+        await transport.start()
+        self.cluster.start()
 
     async def run(self) -> None:
         """Let the cluster run for the configured horizon of wall time."""
@@ -173,68 +107,42 @@ class DeploymentRunner:
         self.raise_handler_errors()
 
     async def stop(self) -> None:
-        """Stop timers and tear the transport down."""
+        """Stop timers and tear the transport down (a no-op before start)."""
+        if self.cluster is None:
+            return
         for replica in self.replicas.values():
             replica.pacemaker.stop()
         await self.transport.stop()
 
     def raise_handler_errors(self) -> None:
-        """Re-raise the first exception any message handler raised."""
-        if self.transport.errors:
+        """Re-raise the first exception a message handler or timer callback raised."""
+        errors = self.transport.errors + self.clock.errors
+        if errors:
             raise DeploymentError(
-                f"{len(self.transport.errors)} handler error(s); first: "
-                f"{self.transport.errors[0]!r}"
-            ) from self.transport.errors[0]
+                f"{len(errors)} handler error(s); first: {errors[0]!r}"
+            ) from errors[0]
 
-    def honest_replicas(self) -> List[Replica]:
-        """Replicas that follow the protocol."""
-        byzantine = set(self.config.byzantine_ids())
-        return [r for rid, r in self.replicas.items() if rid not in byzantine]
-
-    def consistency_check(self) -> bool:
-        """True if every honest replica's committed chain is a consistent prefix."""
-        honest = self.honest_replicas()
-        if not honest:
-            return True
-        min_height = min(r.forest.committed_height for r in honest)
-        reference = honest[0].forest.consistency_hash(min_height)
-        return all(r.forest.consistency_hash(min_height) == reference for r in honest)
-
-    def result(self, elapsed: float) -> ExperimentResult:
+    def result(
+        self, elapsed: float, scenario: Optional["Scenario"] = None, bucket: float = 0.5
+    ) -> ExperimentResult:
         """Summarize the run into the shared campaign record schema."""
-        metrics = self.metrics.summarize()
-        metrics.wall_clock_seconds = elapsed
-        metrics.events_per_second = (
-            self.clock.processed_events / elapsed if elapsed > 0 else 0.0
-        )
-        observer = self.replicas[self.observer_id]
-        return ExperimentResult(
-            config=self.config,
-            metrics=metrics,
-            consistent=self.consistency_check(),
-            highest_view=observer.pacemaker.stats.highest_view,
-            timeline=self.metrics.throughput_timeline(
-                bucket=0.5, end=self.config.total_duration
-            ),
-        )
+        return self.cluster.result(elapsed, self.config.total_duration, bucket, scenario)
 
+    def execute(
+        self, scenario: Optional["Scenario"] = None, bucket: float = 0.5
+    ) -> ExperimentResult:
+        """Run one full deployment (blocking): start, horizon, stop, result.
 
-async def deploy_and_run(config: Configuration, host: str = "127.0.0.1") -> ExperimentResult:
-    """Coroutine running one full deployment: start, horizon, stop, result."""
-    runner = DeploymentRunner(config, host=host)
-    await runner.start()
-    started = time.perf_counter()
-    await runner.run()
-    elapsed = time.perf_counter() - started
-    await runner.stop()
-    return runner.result(elapsed)
+        The transport is stopped even when starting or running raised.
+        """
 
+        async def lifecycle() -> float:
+            try:
+                await self.start()
+                started = time.perf_counter()
+                await self.run()
+                return time.perf_counter() - started
+            finally:
+                await self.stop()
 
-def run_deployment(config: Configuration, host: str = "127.0.0.1") -> ExperimentResult:
-    """Run one deployment experiment to completion (blocking entry point).
-
-    ``repro.bench.runner.run_experiment`` dispatches here when
-    ``config.mode == "deploy"``, so everything built on ``run_experiment``
-    (campaigns, the CLI, benchmarks) gains the deployment axis for free.
-    """
-    return asyncio.run(deploy_and_run(config, host=host))
+        return self.result(asyncio.run(lifecycle()), scenario, bucket)

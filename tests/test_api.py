@@ -7,7 +7,6 @@ import pytest
 from repro import api
 from repro.bench.config import Configuration, ConfigurationError
 from repro.bench.runner import Cluster, ExperimentResult, run_experiment
-from repro.scenario import ScenarioResult
 
 FAST = dict(
     block_size=20,
@@ -42,7 +41,8 @@ class TestFacade:
             dict(FAST),
             scenario={"events": [{"kind": "crash-replica", "at": 0.4, "replica": "last"}]},
         )
-        assert isinstance(result, ScenarioResult)
+        assert isinstance(result, ExperimentResult)
+        assert [e.kind for e in result.scenario.events] == ["crash-replica"]
         assert result.consistent
 
     def test_build_returns_cluster(self):
@@ -51,9 +51,10 @@ class TestFacade:
         assert set(cluster.replicas) == {"r0", "r1", "r2", "r3"}
 
     def test_sweep(self):
-        points = api.sweep(dict(FAST), concurrency_levels=[4, 8])
-        assert [p.load for p in points] == [4.0, 8.0]
-        assert all(p.throughput_tps > 0 for p in points)
+        """A load sweep is a campaign over a concurrency grid."""
+        records = api.campaign(api.grid(dict(FAST), concurrency=[4, 8])).records
+        assert [r["params"]["concurrency"] for r in records] == [4, 8]
+        assert all(r["metrics"]["throughput_tps"] > 0 for r in records)
 
     def test_available_lists_every_extension_point(self):
         listings = api.available()

@@ -1,4 +1,4 @@
-"""Unit tests for the benchmark facilities: config, profiles, metrics, runner, sweeps."""
+"""Unit tests for the benchmark facilities: config, profiles, metrics, runner."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from repro.bench.config import Configuration
 from repro.bench.metrics import MetricsCollector
 from repro.bench.profiles import available_profiles, cost_profile
 from repro.bench.runner import build_cluster, run_experiment
-from repro.bench.sweeps import SweepPoint, saturation_sweep, saturation_throughput
+from repro.experiments import CampaignRunner, ExperimentSpec
 from repro.core.byzantine import ForkingReplica, SilentReplica
 from repro.types.block import make_genesis, make_block
 from repro.types.certificates import QuorumCertificate
@@ -200,35 +200,19 @@ class TestRunnerAndSweeps:
 
     def test_saturation_sweep_produces_monotone_load_points(self):
         config = Configuration(protocol="hotstuff", num_nodes=4, **FAST)
-        points = saturation_sweep(config, concurrency_levels=[2, 8])
-        assert len(points) == 2
-        assert points[0].load == 2
-        assert points[1].throughput_tps >= points[0].throughput_tps * 0.5
-        assert isinstance(points[0], SweepPoint)
+        spec = ExperimentSpec(base=config, grid={"concurrency": [2, 8]})
+        records = CampaignRunner(spec).run().records
+        assert [r["config"]["concurrency"] for r in records] == [2, 8]
+        tps = [r["metrics"]["throughput_tps"] for r in records]
+        assert tps[1] >= tps[0] * 0.5
 
     def test_saturation_sweep_with_arrival_rates(self):
         config = Configuration(protocol="hotstuff", num_nodes=4, **FAST)
-        points = saturation_sweep(config, arrival_rates=[500.0, 1500.0])
-        assert len(points) == 2
-        assert points[1].throughput_tps > points[0].throughput_tps
-
-    def test_sweep_rejects_both_kinds_of_load(self):
-        config = Configuration(**FAST)
-        with pytest.raises(ValueError):
-            saturation_sweep(config, concurrency_levels=[1], arrival_rates=[1.0])
-
-    def test_saturation_throughput_helper(self):
-        points = [
-            SweepPoint(1, 100.0, 0.01, 0.02, 1.0, 3.0),
-            SweepPoint(2, 300.0, 0.02, 0.03, 1.0, 3.0),
-        ]
-        assert saturation_throughput(points) == 300.0
-        assert saturation_throughput([]) == 0.0
-
-    def test_sweep_point_unit_helpers(self):
-        point = SweepPoint(1, 2500.0, 0.015, 0.02, 1.0, 3.0)
-        assert point.throughput_ktps == pytest.approx(2.5)
-        assert point.latency_ms == pytest.approx(15.0)
+        spec = ExperimentSpec(base=config, grid={"arrival_rate": [500.0, 1500.0]})
+        records = CampaignRunner(spec).run().records
+        assert len(records) == 2
+        tps = [r["metrics"]["throughput_tps"] for r in records]
+        assert tps[1] > tps[0]
 
 
 class TestHostPerfMetrics:

@@ -64,6 +64,22 @@ class TestRun:
         assert main(["run", config_file, "--scenario", str(scenario), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["consistent"] is True
 
+    def test_run_deploy_config_with_empty_scenario_is_plain_run(self, tmp_path, capsys):
+        deploy = FAST | {"mode": "deploy", "num_clients": 2, "view_timeout": 1.0,
+                         "request_timeout": 2.0, "runtime": 1.0}
+        path = tmp_path / "deploy.json"
+        path.write_text(json.dumps({"config": deploy, "scenario": {"events": []}}))
+        assert main(["run", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["consistent"] is True
+
+    def test_run_deploy_config_with_events_fails_cleanly(self, tmp_path, capsys):
+        scenario = {"events": [{"kind": "crash-replica", "at": 0.3, "replica": "last"}]}
+        path = tmp_path / "deploy.json"
+        path.write_text(json.dumps({"config": FAST | {"mode": "deploy"},
+                                    "scenario": scenario}))
+        assert main(["run", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_run_invalid_config_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"protocol": "pbft"}))
@@ -140,16 +156,13 @@ class TestCampaign:
 
 
 class TestSweep:
-    def test_sweep_concurrency(self, config_file, capsys):
-        assert main(["sweep", config_file, "--concurrency", "4,8", "--json"]) == 0
-        points = json.loads(capsys.readouterr().out)
-        assert [p["load"] for p in points] == [4.0, 8.0]
-
-    def test_sweep_requires_exactly_one_axis(self, config_file):
-        with pytest.raises(SystemExit, match="exactly one"):
-            main(["sweep", config_file])
-        with pytest.raises(SystemExit, match="exactly one"):
-            main(["sweep", config_file, "--concurrency", "4", "--arrival-rates", "100"])
+    def test_sweep_concurrency(self, tmp_path, capsys):
+        """A load sweep is a campaign over a concurrency grid."""
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"base": FAST, "grid": {"concurrency": [4, 8]}}))
+        assert main(["campaign", str(path), "--json"]) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert [r["params"]["concurrency"] for r in records] == [4, 8]
 
 
 class TestList:

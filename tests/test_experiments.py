@@ -13,7 +13,6 @@ from repro import api
 from repro.bench.config import Configuration
 from repro.bench.metrics import RunMetrics
 from repro.bench.runner import ExperimentResult, run_experiment
-from repro.bench.sweeps import SweepPoint, saturation_sweep
 from repro.experiments import (
     CampaignRunner,
     ExperimentSpec,
@@ -445,24 +444,21 @@ class TestCampaignRunner:
 
 
 class TestSweepOnCampaign:
+    """A load sweep is a campaign over a concurrency (or arrival-rate) grid."""
+
     def test_sweep_unchanged_semantics(self):
-        points = saturation_sweep(BASE, concurrency_levels=[4, 8])
-        assert [p.load for p in points] == [4.0, 8.0]
-        direct = run_experiment(BASE.replace(concurrency=4, arrival_rate=0.0))
-        assert points[0].throughput_tps == direct.metrics.throughput_tps
-        assert points[0].mean_latency == direct.metrics.mean_latency
+        records = api.campaign(api.grid(BASE, concurrency=[4, 8])).records
+        assert [r["params"] for r in records] == [{"concurrency": 4}, {"concurrency": 8}]
+        direct = run_experiment(BASE.replace(concurrency=4))
+        assert records[0]["metrics"] == direct.metrics.to_dict()
 
     def test_sweep_with_store_resumes(self, tmp_path):
-        first = saturation_sweep(BASE, concurrency_levels=[4, 8], store=tmp_path / "s")
-        again = saturation_sweep(
-            BASE, concurrency_levels=[4, 8], workers=2, store=tmp_path / "s"
-        )
-        assert [p.to_dict() for p in first] == [p.to_dict() for p in again]
+        spec = api.grid(BASE, concurrency=[4, 8])
+        first = api.campaign(spec, store=tmp_path / "s")
+        again = api.campaign(spec, workers=2, store=tmp_path / "s")
+        assert again.executed == 0
+        assert first.records == again.records
         assert len(ResultStore(tmp_path / "s")) == 2
-
-    def test_sweep_rejects_both_kinds_of_load(self):
-        with pytest.raises(ValueError, match="not both"):
-            saturation_sweep(BASE, concurrency_levels=[1], arrival_rates=[1.0])
 
 
 class TestSerializationRoundTrips:
@@ -490,8 +486,3 @@ class TestSerializationRoundTrips:
         assert clone.consistent == result.consistent
         assert clone.highest_view == result.highest_view
         assert clone.timeline == result.timeline
-
-    def test_sweep_point_round_trip(self):
-        point = SweepPoint(8.0, 1500.0, 0.005, 0.009, 1.0, 3.0)
-        clone = SweepPoint.from_dict(json.loads(json.dumps(point.to_dict())))
-        assert clone == point

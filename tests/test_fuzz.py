@@ -13,6 +13,7 @@ import pytest
 from repro.bench.config import Configuration
 from repro.core.byzantine import available_strategies
 from repro.experiments.cli import main
+from repro.experiments.runner import execute_payload
 from repro.fuzz import (
     ORACLES,
     PROTOCOL_CYCLE,
@@ -25,6 +26,7 @@ from repro.fuzz import (
     register_oracle,
     run_fuzz,
 )
+from repro.fuzz.harness import execute_case
 
 ATTACKS = [s for s in available_strategies() if s != "honest"]
 
@@ -168,6 +170,12 @@ class TestHarness:
         assert (store_a / "results.jsonl").read_bytes() == (
             store_b / "results.jsonl"
         ).read_bytes()
+
+    def test_case_record_equals_campaign_record(self):
+        """A fuzz case stores exactly the record a campaign stores for it."""
+        for case in generate_cases(seed=0, budget=3):
+            campaign_record = execute_payload(case.run_spec().payload())
+            assert json.dumps(execute_case(case).record) == json.dumps(campaign_record)
 
     def test_cli_fuzz_runs_and_reports(self, tmp_path, capsys):
         rc = main(

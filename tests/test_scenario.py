@@ -4,6 +4,7 @@ import pytest
 
 from repro import api
 from repro.bench.config import Configuration
+from repro.bench.runner import ExperimentResult, run_experiment
 from repro.scenario import (
     CrashReplica,
     Heal,
@@ -12,11 +13,9 @@ from repro.scenario import (
     RecoverReplica,
     Scenario,
     ScenarioEvent,
-    ScenarioResult,
     SetArrivalRate,
     SetByzantine,
     SetDelayModel,
-    run_scenario,
 )
 
 FAST = dict(
@@ -180,8 +179,9 @@ class TestScenarioRunner:
         scenario = Scenario(
             events=[CrashReplica(at=0.5, replica="last")], duration=1.0
         )
-        result = run_scenario(fast_config(), scenario, bucket=0.25)
-        assert isinstance(result, ScenarioResult)
+        result = run_experiment(fast_config(), scenario, bucket=0.25)
+        assert isinstance(result, ExperimentResult)
+        assert result.scenario is scenario
         assert result.consistent
         assert len(result.timeline) >= 4
         assert all(t <= 1.0 for t, _ in result.timeline)

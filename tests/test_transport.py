@@ -22,8 +22,9 @@ from pathlib import Path
 import pytest
 
 from helpers import make_vote
-from repro.bench.config import Configuration
+from repro.bench.config import Configuration, ConfigurationError
 from repro.bench.runner import build_cluster, run_experiment
+from repro.core.dispatch import MESSAGE_HANDLERS, register_message_handler
 from repro.crypto import ed25519
 from repro.crypto.keys import Ed25519KeyPair, KeyPair, KeyRegistry, available_schemes
 from repro.crypto.signatures import Signature, sign, verify
@@ -47,7 +48,8 @@ from repro.transport.codec import (
     read_frame,
 )
 from repro.transport.asyncio_net import AsyncioTransport
-from repro.transport.runtime import DeploymentRunner
+from repro.scenario import CrashReplica, Scenario
+from repro.transport.runtime import DeploymentError, DeploymentRunner
 from repro.types.block import make_block
 from repro.types.certificates import (
     QuorumCertificate,
@@ -566,6 +568,43 @@ class TestDeployment:
         assert _deploy_config().resolved_signing() == "ed25519"
         assert _deploy_config(signing="hmac").resolved_signing() == "hmac"
 
+    def test_model_mode_uses_the_configured_signing(self):
+        model = dict(num_nodes=4, cost_profile="fast")
+        cluster = build_cluster(Configuration(signing="ed25519", **model))
+        assert cluster.registry.scheme == "ed25519"
+        assert isinstance(cluster.registry.get("r0"), Ed25519KeyPair)
+        # "auto" keeps HMAC in model mode, so default records do not change.
+        assert build_cluster(Configuration(**model)).registry.scheme == "hmac"
+
+    def test_deploy_runs_only_empty_scenarios(self):
+        crash = Scenario(events=[CrashReplica(at=0.5, replica="last")])
+        with pytest.raises(ConfigurationError, match="empty"):
+            run_experiment(_deploy_config(), crash)
+        with pytest.raises(ConfigurationError, match="empty"):
+            run_experiment(_deploy_config(), Scenario(duration=1.0))
+
+    def test_handler_error_fails_the_run_and_still_stops(self, monkeypatch):
+        """A raising replica handler makes a DeploymentError, not a clean run."""
+        stopped = []
+        original_stop = DeploymentRunner.stop
+
+        async def spy_stop(runner):
+            stopped.append(runner)
+            await original_stop(runner)
+
+        def broken(replica, message):
+            raise RuntimeError("handler bug")
+
+        monkeypatch.setattr(DeploymentRunner, "stop", spy_stop)
+        original = MESSAGE_HANDLERS.get("ClientRequest")
+        register_message_handler("ClientRequest", override=True)(broken)
+        try:
+            with pytest.raises(DeploymentError, match="handler bug"):
+                run_experiment(_deploy_config(warmup=0.1, runtime=0.5, cooldown=0.1))
+        finally:
+            MESSAGE_HANDLERS.add("ClientRequest", original, override=True)
+        assert len(stopped) == 1
+
     def test_build_cluster_refuses_deploy_mode(self):
         with pytest.raises(ValueError):
             build_cluster(_deploy_config())
@@ -610,5 +649,5 @@ class TestDeployment:
         runner, height_down = asyncio.run(scenario())
         victim = runner.replicas["r3"]
         assert victim.forest.committed_height > height_down
-        assert runner.consistency_check()
+        assert runner.cluster.consistency_check()
         assert runner.transport.stats.reconnects > 0
