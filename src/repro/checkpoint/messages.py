@@ -18,58 +18,32 @@ whose cost scales with the state it carries.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.checkpoint.snapshot import Checkpoint
-from repro.types.messages import Message, UNASSIGNED_MESSAGE_ID
+from repro.types.messages import Message
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class SnapshotRequest(Message):
     """A replica's request for any checkpoint above its committed height."""
 
-    __slots__ = ("known_height",)
-
-    _compare_fields = ("sender", "size_bytes", "known_height")
-
-    def __init__(
-        self,
-        sender: str,
-        size_bytes: int,
-        message_id: int = UNASSIGNED_MESSAGE_ID,
-        known_height: int = 0,
-    ) -> None:
-        self.sender = sender
-        self.size_bytes = size_bytes
-        self.message_id = message_id
-        self.known_height = known_height
+    known_height: int = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SnapshotRequest(known_height={self.known_height}, from={self.sender})"
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class SnapshotResponse(Message):
     """A checkpoint answering a :class:`SnapshotRequest` (or a negative)."""
 
-    __slots__ = ("checkpoint", "responder_height")
-
-    _compare_fields = ("sender", "size_bytes", "checkpoint", "responder_height")
-
-    def __init__(
-        self,
-        sender: str,
-        size_bytes: int,
-        message_id: int = UNASSIGNED_MESSAGE_ID,
-        checkpoint: Optional[Checkpoint] = None,
-        responder_height: int = 0,
-    ) -> None:
-        self.sender = sender
-        self.size_bytes = size_bytes
-        self.message_id = message_id
-        #: ``None`` means the responder holds nothing ahead of the requester's
-        #: committed height; the requester falls back to block fetching.
-        self.checkpoint = checkpoint
-        #: The responder's committed height when it answered (diagnostics).
-        self.responder_height = responder_height
+    #: ``None`` means the responder holds nothing ahead of the requester's
+    #: committed height; the requester falls back to block fetching.
+    checkpoint: Optional[Checkpoint] = None
+    #: The responder's committed height when it answered (diagnostics).
+    responder_height: int = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         held = f"height={self.checkpoint.height}" if self.checkpoint else "none"

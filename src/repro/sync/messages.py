@@ -21,39 +21,25 @@ simulator side channel, and partitioned or crashed peers cannot answer.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.types.block import Block, GENESIS_ID
 from repro.types.certificates import QuorumCertificate
-from repro.types.messages import Message, UNASSIGNED_MESSAGE_ID
+from repro.types.messages import Message
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class BlockRequest(Message):
     """A replica's request for the blocks between its state and a target."""
 
-    __slots__ = ("target_block_id", "known_block_id", "known_height")
-
-    _compare_fields = ("sender", "size_bytes", "target_block_id", "known_block_id", "known_height")
-
-    def __init__(
-        self,
-        sender: str,
-        size_bytes: int,
-        message_id: int = UNASSIGNED_MESSAGE_ID,
-        target_block_id: Optional[str] = None,
-        known_block_id: str = GENESIS_ID,
-        known_height: int = 0,
-    ) -> None:
-        self.sender = sender
-        self.size_bytes = size_bytes
-        self.message_id = message_id
-        #: Block id the requester is trying to reach; ``None`` asks the
-        #: responder for the chain ending at its highest certified block.
-        self.target_block_id = target_block_id
-        #: Highest block on the requester's certified/committed chain — the
-        #: responder walks back until it reaches this block (or its height).
-        self.known_block_id = known_block_id
-        self.known_height = known_height
+    #: Block id the requester is trying to reach; ``None`` asks the
+    #: responder for the chain ending at its highest certified block.
+    target_block_id: Optional[str] = None
+    #: Highest block on the requester's certified/committed chain — the
+    #: responder walks back until it reaches this block (or its height).
+    known_block_id: str = GENESIS_ID
+    known_height: int = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         target = self.target_block_id[:10] if self.target_block_id else "<tip>"
@@ -63,31 +49,16 @@ class BlockRequest(Message):
         )
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class BlockResponse(Message):
     """A batch of blocks answering a :class:`BlockRequest` (oldest first)."""
 
-    __slots__ = ("blocks", "target_id", "tip_qc")
-
-    _compare_fields = ("sender", "size_bytes", "blocks", "target_id", "tip_qc")
-
-    def __init__(
-        self,
-        sender: str,
-        size_bytes: int,
-        message_id: int = UNASSIGNED_MESSAGE_ID,
-        blocks: Tuple[Block, ...] = (),
-        target_id: str = "",
-        tip_qc: Optional[QuorumCertificate] = None,
-    ) -> None:
-        self.sender = sender
-        self.size_bytes = size_bytes
-        self.message_id = message_id
-        self.blocks = blocks
-        #: The resolved target of the request this answers (the responder's
-        #: tip id when the request asked for ``None``).
-        self.target_id = target_id
-        #: The responder's certificate for the newest block in ``blocks``.
-        self.tip_qc = tip_qc
+    blocks: Tuple[Block, ...] = ()
+    #: The resolved target of the request this answers (the responder's
+    #: tip id when the request asked for ``None``).
+    target_id: str = ""
+    #: The responder's certificate for the newest block in ``blocks``.
+    tip_qc: Optional[QuorumCertificate] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

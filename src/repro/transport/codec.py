@@ -3,9 +3,24 @@
 The simulation never serializes — messages are Python objects handed between
 replicas, and :class:`~repro.types.sizes.SizeModel` *estimates* their wire
 size for the NIC model.  The real transport has to actually put them on a
-socket, so this module gives every message kind in :mod:`repro.types`,
-:mod:`repro.sync`, and :mod:`repro.checkpoint` a canonical JSON encoding,
-framed with a 4-byte big-endian length prefix.
+socket, so this module gives every kind in :data:`WIRE_KINDS` a canonical
+JSON encoding, framed with a 4-byte big-endian length prefix.
+
+The encoding is derived from the declarations: each type's constructor
+signature and type hints are read once, and a converter pair is compiled
+per type from these rules —
+
+* ``str``/``int``/``float`` pass through (an int is accepted where a float
+  is declared; a bool is never an int); ``bytes`` travel as hex;
+* ``FrozenSet[...]`` is a sorted list, ``Tuple[...]`` a list,
+  ``Optional[...]`` allows ``null``;
+* any other declared type (a dataclass, or a class with an annotated
+  ``__init__``) is an object of its fields in declaration order; dataclass
+  fields declared ``compare=False`` (``message_id``) stay off the wire.
+
+A message frame is ``{"kind", <the fields of Message>, "body": {<the rest>}}``.
+Decoding checks every key and leaf type against the declaration, so any
+malformed peer input raises :class:`CodecError` and nothing else.
 
 JSON (rather than a binary format) keeps frames debuggable with ``nc`` and
 avoids any dependency; the measured-throughput comparison against the model
@@ -21,27 +36,23 @@ equal message for every kind (``message_id`` excluded — it is
 from __future__ import annotations
 
 import asyncio
+import inspect
 import json
 import struct
-from typing import Any, Callable, Dict, Optional
+from dataclasses import fields, is_dataclass
+from functools import cache
+from typing import Any, Callable, Dict, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 from repro.checkpoint.messages import SnapshotRequest, SnapshotResponse
-from repro.checkpoint.snapshot import Checkpoint
-from repro.crypto.signatures import Signature
-from repro.executor.kvstore import DedupState, KVSnapshot
 from repro.sync.messages import BlockRequest, BlockResponse
-from repro.types.block import Block
-from repro.types.certificates import QuorumCertificate, Timeout, TimeoutCertificate, Vote
 from repro.types.messages import (
     ClientReply,
     ClientRequest,
     Message,
     ProposalMessage,
-    TimeoutCertificateMessage,
     TimeoutMessage,
     VoteMessage,
 )
-from repro.types.transaction import Transaction
 
 _LENGTH_PREFIX = struct.Struct(">I")
 
@@ -49,372 +60,166 @@ _LENGTH_PREFIX = struct.Struct(">I")
 #: corrupt rather than allocated for (snapshots dominate and stay well under).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
+#: The message kinds the deployment transport carries.
+WIRE_KINDS = (
+    ProposalMessage,
+    VoteMessage,
+    TimeoutMessage,
+    ClientRequest,
+    ClientReply,
+    BlockRequest,
+    BlockResponse,
+    SnapshotRequest,
+    SnapshotResponse,
+)
+
+_KINDS = {kind.__name__: kind for kind in WIRE_KINDS}
+
 
 class CodecError(ValueError):
     """A payload that cannot be encoded or decoded."""
 
 
-# --------------------------------------------------------------------------
-# value codecs (crypto + chain types)
-
-def _enc_signature(sig: Signature) -> Dict[str, Any]:
-    return {"signer": sig.signer, "digest": sig.digest, "tag": sig.tag.hex()}
+#: ``encode`` (``None`` when a value is its own JSON) and ``decode``.
+_Converters = Tuple[Optional[Callable[[Any], Any]], Callable[[Any], Any]]
 
 
-def _dec_signature(data: Dict[str, Any]) -> Signature:
-    return Signature(signer=data["signer"], digest=data["digest"], tag=bytes.fromhex(data["tag"]))
-
-
-def _enc_vote(vote: Vote) -> Dict[str, Any]:
-    return {
-        "voter": vote.voter,
-        "block_id": vote.block_id,
-        "view": vote.view,
-        "signature": _enc_signature(vote.signature),
-    }
-
-
-def _dec_vote(data: Dict[str, Any]) -> Vote:
-    return Vote(
-        voter=data["voter"],
-        block_id=data["block_id"],
-        view=data["view"],
-        signature=_dec_signature(data["signature"]),
+def _declared_fields(cls: type) -> Tuple[Tuple[str, Any], ...]:
+    """``(name, type)`` of each wire field of ``cls``, in constructor order."""
+    if is_dataclass(cls):
+        hints = get_type_hints(cls)
+        local = {f.name for f in fields(cls) if not f.compare}
+    else:
+        hints, local = get_type_hints(cls.__init__), set()
+    return tuple(
+        (name, hints[name]) for name in inspect.signature(cls).parameters if name not in local
     )
 
 
-def _enc_qc(qc: Optional[QuorumCertificate]) -> Optional[Dict[str, Any]]:
-    if qc is None:
-        return None
-    return {
-        "block_id": qc.block_id,
-        "view": qc.view,
-        "signers": sorted(qc.signers),
-        "signatures": [_enc_signature(sig) for sig in qc.signatures],
-    }
+def _leaf(*json_types: type) -> _Converters:
+    def decode(value):
+        if type(value) in json_types:
+            return value
+        raise CodecError(f"expected {json_types[0].__name__}, got {type(value).__name__}")
 
+    return None, decode
 
-def _dec_qc(data: Optional[Dict[str, Any]]) -> Optional[QuorumCertificate]:
-    if data is None:
-        return None
-    return QuorumCertificate(
-        block_id=data["block_id"],
-        view=data["view"],
-        signers=frozenset(data["signers"]),
-        signatures=tuple(_dec_signature(sig) for sig in data["signatures"]),
-    )
 
+def _decode_list(value) -> list:
+    if type(value) is not list:
+        raise CodecError(f"expected a list, got {type(value).__name__}")
+    return value
 
-def _enc_timeout(timeout: Timeout) -> Dict[str, Any]:
-    return {
-        "voter": timeout.voter,
-        "view": timeout.view,
-        "high_qc_view": timeout.high_qc_view,
-        "signature": _enc_signature(timeout.signature),
-    }
 
+def _decode_hex(value) -> bytes:
+    try:
+        return bytes.fromhex(value)
+    except (TypeError, ValueError) as exc:
+        raise CodecError(f"bad hex: {exc}") from None
 
-def _dec_timeout(data: Dict[str, Any]) -> Timeout:
-    return Timeout(
-        voter=data["voter"],
-        view=data["view"],
-        high_qc_view=data["high_qc_view"],
-        signature=_dec_signature(data["signature"]),
-    )
 
-
-def _enc_tc(tc: TimeoutCertificate) -> Dict[str, Any]:
-    return {
-        "view": tc.view,
-        "signers": sorted(tc.signers),
-        "signatures": [_enc_signature(sig) for sig in tc.signatures],
-        "high_qc_view": tc.high_qc_view,
-    }
-
-
-def _dec_tc(data: Dict[str, Any]) -> TimeoutCertificate:
-    return TimeoutCertificate(
-        view=data["view"],
-        signers=frozenset(data["signers"]),
-        signatures=tuple(_dec_signature(sig) for sig in data["signatures"]),
-        high_qc_view=data["high_qc_view"],
-    )
-
-
-def _enc_transaction(tx: Transaction) -> Dict[str, Any]:
-    return {
-        "txid": tx.txid,
-        "client_id": tx.client_id,
-        "operation": tx.operation,
-        "key": tx.key,
-        "value": tx.value,
-        "payload_size": tx.payload_size,
-        "created_at": tx.created_at,
-        "sequence": tx.sequence,
-    }
-
-
-def _dec_transaction(data: Dict[str, Any]) -> Transaction:
-    return Transaction(
-        txid=data["txid"],
-        client_id=data["client_id"],
-        operation=data["operation"],
-        key=data["key"],
-        value=data["value"],
-        payload_size=data["payload_size"],
-        created_at=data["created_at"],
-        sequence=data["sequence"],
-    )
-
-
-def _enc_block(block: Block) -> Dict[str, Any]:
-    return {
-        "block_id": block.block_id,
-        "view": block.view,
-        "parent_id": block.parent_id,
-        "height": block.height,
-        "qc": _enc_qc(block.qc),
-        "proposer": block.proposer,
-        "transactions": [_enc_transaction(tx) for tx in block.transactions],
-    }
-
-
-def _dec_block(data: Dict[str, Any]) -> Block:
-    return Block(
-        block_id=data["block_id"],
-        view=data["view"],
-        parent_id=data["parent_id"],
-        height=data["height"],
-        qc=_dec_qc(data["qc"]),
-        proposer=data["proposer"],
-        transactions=tuple(_dec_transaction(tx) for tx in data["transactions"]),
-    )
-
-
-def _enc_kv_snapshot(snapshot: KVSnapshot) -> Dict[str, Any]:
-    return {
-        "items": [[key, value] for key, value in snapshot.items],
-        "dedup": {
-            "sessions": [
-                [client, floor, list(pending)]
-                for client, floor, pending in snapshot.dedup.sessions
-            ],
-            "extras": list(snapshot.dedup.extras),
-        },
-        "operations_applied": snapshot.operations_applied,
-    }
-
-
-def _dec_kv_snapshot(data: Dict[str, Any]) -> KVSnapshot:
-    return KVSnapshot(
-        items=tuple((key, value) for key, value in data["items"]),
-        dedup=DedupState(
-            sessions=tuple(
-                (client, floor, tuple(pending))
-                for client, floor, pending in data["dedup"]["sessions"]
-            ),
-            extras=tuple(data["dedup"]["extras"]),
-        ),
-        operations_applied=data["operations_applied"],
-    )
-
-
-def _enc_checkpoint(checkpoint: Optional[Checkpoint]) -> Optional[Dict[str, Any]]:
-    if checkpoint is None:
-        return None
-    return {
-        "height": checkpoint.height,
-        "block": _enc_block(checkpoint.block),
-        "qc": _enc_qc(checkpoint.qc),
-        "committed_ids": list(checkpoint.committed_ids),
-        "state": _enc_kv_snapshot(checkpoint.state),
-        "taken_at": checkpoint.taken_at,
-    }
-
-
-def _dec_checkpoint(data: Optional[Dict[str, Any]]) -> Optional[Checkpoint]:
-    if data is None:
-        return None
-    return Checkpoint(
-        height=data["height"],
-        block=_dec_block(data["block"]),
-        qc=_dec_qc(data["qc"]),
-        committed_ids=tuple(data["committed_ids"]),
-        state=_dec_kv_snapshot(data["state"]),
-        taken_at=data["taken_at"],
-    )
-
-
-# --------------------------------------------------------------------------
-# message codecs
-
-def _enc_proposal(msg: ProposalMessage) -> Dict[str, Any]:
-    return {"block": _enc_block(msg.block), "view": msg.view, "forwarded_by": msg.forwarded_by}
-
-
-def _dec_proposal(base: Dict[str, Any], body: Dict[str, Any]) -> ProposalMessage:
-    return ProposalMessage(
-        **base, block=_dec_block(body["block"]), view=body["view"],
-        forwarded_by=body["forwarded_by"],
-    )
-
-
-def _enc_vote_msg(msg: VoteMessage) -> Dict[str, Any]:
-    return {"vote": _enc_vote(msg.vote), "forwarded_by": msg.forwarded_by}
-
-
-def _dec_vote_msg(base: Dict[str, Any], body: Dict[str, Any]) -> VoteMessage:
-    return VoteMessage(**base, vote=_dec_vote(body["vote"]), forwarded_by=body["forwarded_by"])
-
-
-def _enc_timeout_msg(msg: TimeoutMessage) -> Dict[str, Any]:
-    return {"timeout": _enc_timeout(msg.timeout)}
-
-
-def _dec_timeout_msg(base: Dict[str, Any], body: Dict[str, Any]) -> TimeoutMessage:
-    return TimeoutMessage(**base, timeout=_dec_timeout(body["timeout"]))
-
-
-def _enc_tc_msg(msg: TimeoutCertificateMessage) -> Dict[str, Any]:
-    return {"tc": _enc_tc(msg.tc)}
-
-
-def _dec_tc_msg(base: Dict[str, Any], body: Dict[str, Any]) -> TimeoutCertificateMessage:
-    return TimeoutCertificateMessage(**base, tc=_dec_tc(body["tc"]))
-
-
-def _enc_client_request(msg: ClientRequest) -> Dict[str, Any]:
-    return {"transaction": _enc_transaction(msg.transaction)}
-
-
-def _dec_client_request(base: Dict[str, Any], body: Dict[str, Any]) -> ClientRequest:
-    return ClientRequest(**base, transaction=_dec_transaction(body["transaction"]))
-
-
-def _enc_client_reply(msg: ClientReply) -> Dict[str, Any]:
-    return {
-        "txid": msg.txid,
-        "committed_at": msg.committed_at,
-        "replica": msg.replica,
-        "status": msg.status,
-    }
-
-
-def _dec_client_reply(base: Dict[str, Any], body: Dict[str, Any]) -> ClientReply:
-    return ClientReply(
-        **base, txid=body["txid"], committed_at=body["committed_at"],
-        replica=body["replica"], status=body["status"],
-    )
-
-
-def _enc_block_request(msg: BlockRequest) -> Dict[str, Any]:
-    return {
-        "target_block_id": msg.target_block_id,
-        "known_block_id": msg.known_block_id,
-        "known_height": msg.known_height,
-    }
-
-
-def _dec_block_request(base: Dict[str, Any], body: Dict[str, Any]) -> BlockRequest:
-    return BlockRequest(
-        **base, target_block_id=body["target_block_id"],
-        known_block_id=body["known_block_id"], known_height=body["known_height"],
-    )
-
-
-def _enc_block_response(msg: BlockResponse) -> Dict[str, Any]:
-    return {
-        "blocks": [_enc_block(block) for block in msg.blocks],
-        "target_id": msg.target_id,
-        "tip_qc": _enc_qc(msg.tip_qc),
-    }
-
-
-def _dec_block_response(base: Dict[str, Any], body: Dict[str, Any]) -> BlockResponse:
-    return BlockResponse(
-        **base, blocks=tuple(_dec_block(block) for block in body["blocks"]),
-        target_id=body["target_id"], tip_qc=_dec_qc(body["tip_qc"]),
-    )
-
-
-def _enc_snapshot_request(msg: SnapshotRequest) -> Dict[str, Any]:
-    return {"known_height": msg.known_height}
-
-
-def _dec_snapshot_request(base: Dict[str, Any], body: Dict[str, Any]) -> SnapshotRequest:
-    return SnapshotRequest(**base, known_height=body["known_height"])
-
-
-def _enc_snapshot_response(msg: SnapshotResponse) -> Dict[str, Any]:
-    return {
-        "checkpoint": _enc_checkpoint(msg.checkpoint),
-        "responder_height": msg.responder_height,
-    }
-
-
-def _dec_snapshot_response(base: Dict[str, Any], body: Dict[str, Any]) -> SnapshotResponse:
-    return SnapshotResponse(
-        **base, checkpoint=_dec_checkpoint(body["checkpoint"]),
-        responder_height=body["responder_height"],
-    )
-
-
-_ENCODERS: Dict[type, Callable[[Any], Dict[str, Any]]] = {
-    ProposalMessage: _enc_proposal,
-    VoteMessage: _enc_vote_msg,
-    TimeoutMessage: _enc_timeout_msg,
-    TimeoutCertificateMessage: _enc_tc_msg,
-    ClientRequest: _enc_client_request,
-    ClientReply: _enc_client_reply,
-    BlockRequest: _enc_block_request,
-    BlockResponse: _enc_block_response,
-    SnapshotRequest: _enc_snapshot_request,
-    SnapshotResponse: _enc_snapshot_response,
+_LEAVES: Dict[Any, _Converters] = {
+    str: _leaf(str),
+    int: _leaf(int),
+    float: _leaf(float, int),
+    bytes: (bytes.hex, _decode_hex),
 }
 
-_DECODERS: Dict[str, Callable[[Dict[str, Any], Dict[str, Any]], Message]] = {
-    "ProposalMessage": _dec_proposal,
-    "VoteMessage": _dec_vote_msg,
-    "TimeoutMessage": _dec_timeout_msg,
-    "TimeoutCertificateMessage": _dec_tc_msg,
-    "ClientRequest": _dec_client_request,
-    "ClientReply": _dec_client_reply,
-    "BlockRequest": _dec_block_request,
-    "BlockResponse": _dec_block_response,
-    "SnapshotRequest": _dec_snapshot_request,
-    "SnapshotResponse": _dec_snapshot_response,
-}
+
+@cache
+def _converters(declared: Any) -> _Converters:
+    """The converter pair for values declared as ``declared``."""
+    if declared in _LEAVES:
+        return _LEAVES[declared]
+    origin, args = get_origin(declared), get_args(declared)
+    if origin is Union and len(args) == 2 and args[1] is type(None):
+        enc, dec = _converters(args[0])
+        encode = None if enc is None else (lambda value: None if value is None else enc(value))
+        return encode, lambda value: None if value is None else dec(value)
+    if origin is frozenset:
+        _, dec = _converters(args[0])
+        return sorted, lambda value: frozenset([dec(item) for item in _decode_list(value)])
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        enc, dec = _converters(args[0])
+        encode = list if enc is None else (lambda value: [enc(item) for item in value])
+        return encode, lambda value: tuple([dec(item) for item in _decode_list(value)])
+    if origin is tuple:
+        pairs = [_converters(arg) for arg in args]
+
+        def decode_row(value):
+            if len(_decode_list(value)) != len(pairs):
+                raise CodecError(f"expected {len(pairs)} items, got {len(value)}")
+            return tuple([dec(item) for (_, dec), item in zip(pairs, value)])
+
+        return (
+            lambda value: [item if enc is None else enc(item) for (enc, _), item in zip(pairs, value)],
+            decode_row,
+        )
+    if isinstance(declared, type):
+        encode, decode_fields = _object(declared)
+        return encode, lambda value: declared(**decode_fields(value))
+    raise TypeError(f"no wire encoding for declared type {declared!r}")
+
+
+@cache
+def _object(cls: type, skip: Tuple[str, ...] = ()):
+    """Compile an encoder of ``cls`` instances to JSON objects and a decoder
+    of such objects to constructor keyword arguments, over the declared
+    fields not in ``skip`` (generated source, as ``dataclasses`` does)."""
+    env: Dict[str, Any] = {"CodecError": CodecError}
+    encoded, decoded = [], []
+    for i, (name, hint) in enumerate(_declared_fields(cls)):
+        if name not in skip:
+            env[f"e{i}"], env[f"d{i}"] = _converters(hint)
+            value = f"obj.{name}" if env[f"e{i}"] is None else f"e{i}(obj.{name})"
+            encoded.append(f"{name!r}: {value}")
+            decoded.append(f"{name!r}: d{i}(data[{name!r}])")
+    exec(
+        f"def encode(obj):\n"
+        f"    return {{{', '.join(encoded)}}}\n"
+        f"def decode_fields(data):\n"
+        f"    if type(data) is not dict:\n"
+        f"        raise CodecError('{cls.__name__}: expected an object, got ' + type(data).__name__)\n"
+        f"    try:\n"
+        f"        return {{{', '.join(decoded)}}}\n"
+        f"    except KeyError as exc:\n"
+        f"        raise CodecError('{cls.__name__}: missing field ' + str(exc)) from None\n",
+        env,
+    )
+    return env["encode"], env["decode_fields"]
+
+
+_encode_header, _decode_header = _object(Message)
+_HEADER = tuple(name for name, _ in _declared_fields(Message))
 
 
 def encode_message(message: Message) -> bytes:
     """Serialize a message to its JSON wire form (unframed)."""
-    encoder = _ENCODERS.get(type(message))
-    if encoder is None:
-        raise CodecError(f"no wire encoding for {type(message).__name__}")
-    payload = {
-        "kind": type(message).__name__,
-        "sender": message.sender,
-        "size_bytes": message.size_bytes,
-        "body": encoder(message),
-    }
+    kind = type(message)
+    if _KINDS.get(kind.__name__) is not kind:
+        raise CodecError(f"no wire encoding for {kind.__name__}")
+    payload = {"kind": kind.__name__, **_encode_header(message),
+               "body": _object(kind, _HEADER)[0](message)}
     return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
 
 def decode_message(data: bytes) -> Message:
-    """Parse one unframed JSON payload back into a message object."""
+    """Parse one unframed JSON payload back into a message object.
+
+    Raises :class:`CodecError` — and nothing else — on malformed input.
+    """
     try:
         payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
         raise CodecError(f"malformed frame: {exc}") from exc
+    if type(payload) is not dict:
+        raise CodecError(f"frame is not an object: {type(payload).__name__}")
     kind = payload.get("kind")
-    decoder = _DECODERS.get(kind)
-    if decoder is None:
+    cls = _KINDS.get(kind) if type(kind) is str else None
+    if cls is None:
         raise CodecError(f"unknown message kind {kind!r}")
-    base = {"sender": payload["sender"], "size_bytes": payload["size_bytes"]}
-    try:
-        return decoder(base, payload["body"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CodecError(f"malformed {kind} body: {exc}") from exc
+    header = _decode_header(payload)
+    return cls(**header, **_object(cls, _HEADER)[1](payload.get("body")))
 
 
 def frame(payload: bytes) -> bytes:

@@ -55,19 +55,10 @@ class SizeModel:
             + num_transactions * self.transaction_size(payload_size)
         )
 
-    def block_size_for(self, transactions, qc_signers: int) -> int:
-        """Serialized size of a proposal for a concrete transaction batch."""
-        return (
-            self.block_header_size
-            + self.qc_size(qc_signers)
-            + sum(self.transaction_size(tx.payload_size) for tx in transactions)
-        )
-
     def proposal_size(self, block, qc_signers: int) -> int:
-        """Serialized size of a proposal carrying ``block`` (cached payload).
+        """Serialized size of a proposal carrying ``block``.
 
-        Equivalent to ``block_size_for(block.transactions, qc_signers)`` but
-        uses the block's cached payload total instead of re-summing the
+        Uses the block's cached payload total instead of re-summing the
         batch on every send.
         """
         return (

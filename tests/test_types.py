@@ -142,10 +142,6 @@ class TestSizeModel:
         with_payload = self.sizes.block_size(100, 128, 3)
         assert with_payload - no_payload == 100 * 128
 
-    def test_block_size_for_matches_block_size_for_uniform_payload(self):
-        txs = make_transactions(10, payload_size=64)
-        assert self.sizes.block_size_for(txs, 3) == self.sizes.block_size(10, 64, 3)
-
     def test_vote_smaller_than_block(self):
         assert self.sizes.vote_size() < self.sizes.block_size(100, 0, 3)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 import sys
+import types
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -62,10 +63,15 @@ def run_smoke_blocks(path: Path) -> list:
             continue
         label = f"{path.relative_to(REPO_ROOT)} python block #{index}"
         print(f"running {label} ...")
+        # Run each block as its own importable module, as a user's script
+        # would be (dataclasses resolve their module through sys.modules).
+        module = sys.modules["__docs_smoke__"] = types.ModuleType("__docs_smoke__")
         try:
-            exec(compile(code, str(path), "exec"), {"__name__": "__docs_smoke__"})
+            exec(compile(code, str(path), "exec", dont_inherit=True), module.__dict__)
         except Exception as exc:  # noqa: BLE001 - report and keep checking
             problems.append(f"{label}: example failed: {exc!r}")
+        finally:
+            del sys.modules["__docs_smoke__"]
     return problems
 
 
